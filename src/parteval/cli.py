@@ -32,6 +32,7 @@ from .engine import (
     DEFAULT_NODE_CAP,
     enumerate_witnesses,
     reduction_graph,
+    validate_witness,
 )
 from .errors import (
     CarrierMismatch,
@@ -134,11 +135,12 @@ class JobConfig:
 
 
 def _load_json(source: str) -> dict:
-    """Accept inline JSON or a path to a JSON file."""
+    """Accept inline JSON, or a path to a JSON file, bare or as @path."""
     try:
         if source.lstrip().startswith("{"):
             return json.loads(source)
-        with open(source, "r", encoding="utf-8") as fh:
+        path = source[1:] if source.startswith("@") else source
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise MalformedExpression(f"bad JSON in {source!r}: {exc}") from exc
@@ -195,6 +197,9 @@ def cmd_check(cfg: JobConfig) -> int:
     if witness is None:
         print("no partial evaluation")
         return 1
+    if not (validate_witness(witness) and witness.source == p and witness.target == q):
+        print(f"internal error: witness fails its boundaries: {witness}", file=sys.stderr)
+        return 3
     print(dumps(witness_to_json(witness)))
     return 0
 

@@ -202,6 +202,19 @@ class MonadInstance(ABC):
         """
         raise UnsupportedInstance(f"no finite mu-fiber enumeration for {self.tag}")
 
+    def mu_fiber_to(self, payload, target_payload, evaluate, limit: int = 10) -> list:
+        """The fiber payloads whose blockwise evaluation is target_payload.
+
+        Distinct and in canonical order, like mu_fiber.  This default
+        filters the whole fiber; instances with large fibers override it
+        with a search that only builds groupings the target can use.
+        """
+        return [
+            f
+            for f in self.mu_fiber(payload, limit)
+            if self.fmap(evaluate, f, 2, 0) == target_payload
+        ]
+
 
 @dataclass(frozen=True)
 class NestedExpression:

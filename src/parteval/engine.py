@@ -117,17 +117,21 @@ def enumerate_witnesses(
     """All witnesses from p to q, in canonical order.
 
     Works on the instances with finite fibers (multiset, list, action,
-    terminal).  Distributions have infinitely many candidate groupings;
-    UnsupportedInstance points the caller at the LP decision procedure.
+    terminal).  The search is directed at q: multisets build only the
+    partitions whose blocks evaluate to values q still needs, lists cut
+    left to right so that block j folds to q's j-th atom, and the other
+    instances filter their small fibers.  `limit` caps the size of p for
+    multisets and lists.  Distributions have infinitely many candidate
+    groupings; UnsupportedInstance points the caller at the LP decision
+    procedure.
     """
     _require_depth1(p, algebra)
     _require_depth1(q, algebra)
-    out = []
-    for payload in algebra.monad.mu_fiber(p.payload, limit):
-        value = NestedExpression(algebra.monad, 2, payload)
-        if ev_under(value, algebra, 1) == q:
-            out.append(_record(Witness(value, p, q, algebra)))
-    return out
+    monad = algebra.monad
+    return [
+        _record(Witness(NestedExpression(monad, 2, payload), p, q, algebra))
+        for payload in monad.mu_fiber_to(p.payload, q.payload, algebra.eval_payload, limit)
+    ]
 
 
 def check_total_evaluation_law(w: Witness) -> bool:
@@ -324,9 +328,6 @@ class ReductionGraph:
     algebra: AlgebraInstance
     nodes: tuple[NestedExpression, ...]
     edges: tuple[tuple[NestedExpression, NestedExpression, int], ...]
-
-    def successors(self, node: NestedExpression) -> tuple[NestedExpression, ...]:
-        return tuple(v for u, v, _ in self.edges if u == node)
 
     def edge_count(self, u: NestedExpression, v: NestedExpression) -> int:
         for a, b, n in self.edges:

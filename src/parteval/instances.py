@@ -119,40 +119,101 @@ class MultisetMonad(MonadInstance):
         capped.  Empty blocks are excluded; admitting them would make
         the fiber infinite.
         """
+        return self._partitions(payload, None, None, limit)
+
+    def mu_fiber_to(self, payload, target_payload, evaluate, limit=10):
+        """The partitions whose blocks evaluate to the target bag.
+
+        A backtracking search over the partitions mu_fiber lists: a block
+        is kept only while the target still needs its value, so most of
+        the fiber is never built.
+        """
+        return self._partitions(payload, target_payload, evaluate, limit)
+
+    def _partitions(self, payload, target_payload, evaluate, limit):
+        """Each partition of the bag exactly once, canonically ordered.
+
+        Blocks are count vectors over the distinct atoms, chosen in
+        non-increasing lexicographic order as in Knuth's Algorithm M
+        (TAOCP 4A, 7.2.1.5), so every block holds the least atom still
+        unplaced.  With a target, the open slots are the target values
+        not yet matched: a block needs an open slot for its value
+        (compared by atom_key), fewer atoms than open slots is a dead
+        end, and the last slot takes all the atoms that are left.
+        """
         total = sum(m for _, m in payload)
         if total > limit:
             raise EnumerationLimitExceeded(
                 f"multiset of size {total} exceeds the fiber limit {limit}"
             )
-        fibers = [
-            self.bag(((block, 1) for block in part), 1)
-            for part in self._partitions(payload)
-        ]
-        uniq = {self.key(p, 2): p for p in fibers}
-        return [p for _, p in sorted(uniq.items(), key=lambda kv: kv[0])]
+        atoms = [a for a, _ in payload]
+        blocks: dict = {}  # count vector -> (sort key, block payload, value key)
 
-    def _partitions(self, entries):
-        # Peel off the block holding one occurrence of the least atom,
-        # then recurse.  Repeated atoms can produce the same partition
-        # along different branches; mu_fiber dedupes by canonical key.
-        if not entries:
-            yield ()
-            return
-        (a0, m0) = entries[0]
-        rest = (((a0, m0 - 1),) if m0 > 1 else ()) + entries[1:]
-        for counts in itertools.product(*(range(m + 1) for _, m in rest)):
-            block = self.bag(
-                itertools.chain(
-                    [(a0, 1)],
-                    ((a, c) for (a, _), c in zip(rest, counts) if c > 0),
-                ),
-                0,
+        def block(v):
+            entry = blocks.get(v)
+            if entry is None:
+                pairs = tuple((atoms[j], c) for j, c in enumerate(v) if c)
+                # Atom indices order blocks exactly as their keys would.
+                order = tuple((j, c) for j, c in enumerate(v) if c)
+                value = None if evaluate is None else atom_key(evaluate(pairs))
+                entry = blocks[v] = (order, pairs, value)
+            return entry
+
+        def assemble(chosen):
+            # Equal blocks are adjacent in a non-increasing sequence.
+            runs: list = []
+            for v in chosen:
+                if runs and runs[-1][0] == v:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([v, 1])
+            entries = sorted(block(v)[:2] + (m,) for v, m in runs)
+            return (
+                tuple((order, m) for order, _, m in entries),
+                tuple((pairs, m) for _, pairs, m in entries),
             )
-            remaining = tuple(
-                (a, m - c) for (a, m), c in zip(rest, counts) if m - c > 0
-            )
-            for part in self._partitions(remaining):
-                yield part + (block,)
+
+        slot_of, need = {}, None
+        if target_payload is not None:
+            slot_of = {atom_key(a): s for s, (a, _) in enumerate(target_payload)}
+            need = tuple(m for _, m in target_payload)
+        found = []
+        # A state: remaining counts, their sum, the last block, the target
+        # counts not yet matched (None without a target), the blocks so far.
+        stack = [(tuple(m for _, m in payload), total, None, need, ())]
+        while stack:
+            rem, left, prev, need, chosen = stack.pop()
+            slots = None if need is None else sum(need)
+            if left == 0:
+                if not slots:
+                    found.append(assemble(chosen))
+                continue
+            if slots is not None and not 0 < slots <= left:
+                continue
+            i = next(j for j, c in enumerate(rem) if c)
+            if slots == 1:
+                candidates = (rem,)
+            else:
+                candidates = (
+                    (0,) * i + tail
+                    for tail in itertools.product(
+                        range(rem[i], 0, -1), *(range(c, -1, -1) for c in rem[i + 1 :])
+                    )
+                )
+            for v in candidates:
+                if prev is not None and v > prev:
+                    continue
+                size = sum(v)
+                next_need = None
+                if slots is not None:
+                    s = slot_of.get(block(v)[2]) if left - size >= slots - 1 else None
+                    if s is None or not need[s]:
+                        continue
+                    next_need = need[:s] + (need[s] - 1,) + need[s + 1 :]
+                rest = tuple(r - c for r, c in zip(rem, v))
+                stack.append((rest, left - size, v, next_need, chosen + (v,)))
+        found.sort(key=lambda kp: kp[0])
+        return [p for _, p in found]
 
 
 class ListMonad(MonadInstance):
@@ -196,25 +257,48 @@ class ListMonad(MonadInstance):
 
     def mu_fiber(self, payload, limit=10):
         """All splittings into contiguous nonempty blocks: 2^(n-1) of them."""
+        return self._splits(payload, None, None, limit)
+
+    def mu_fiber_to(self, payload, target_payload, evaluate, limit=10):
+        """The splittings whose j-th block folds to the target's j-th atom."""
+        return self._splits(payload, target_payload, evaluate, limit)
+
+    def _splits(self, payload, target, evaluate, limit):
+        """Splittings found left to right, in canonical order.
+
+        A block's key is a prefix of every longer block's from the same
+        start, so trying shorter blocks first emits splittings sorted.
+        With a target, each later slot keeps at least one element and
+        the last slot takes the rest.
+        """
         n = len(payload)
         if n > limit:
             raise EnumerationLimitExceeded(
                 f"list of length {n} exceeds the fiber limit {limit}"
             )
-        if n == 0:
-            return [()]
-        out = []
-        for mask in range(1 << (n - 1)):
-            blocks = []
-            start = 0
-            for gap in range(n - 1):
-                if mask & (1 << gap):
-                    blocks.append(payload[start : gap + 1])
-                    start = gap + 1
-            blocks.append(payload[start:])
-            out.append(tuple(blocks))
-        out.sort(key=lambda p: self.key(p, 2))
-        return out
+        found = []
+        folds: dict = {}
+        stack = [(0, ())]
+        while stack:
+            start, blocks = stack.pop()
+            if start == n:
+                if target is None or len(blocks) == len(target):
+                    found.append(blocks)
+                continue
+            if target is None:
+                ends = range(n, start, -1)
+            else:
+                later = len(target) - len(blocks) - 1
+                ends = () if later < 0 else (n,) if later == 0 else range(n - later, start, -1)
+            # Pushed longest first, so the shortest block is tried first.
+            for end in ends:
+                if target is not None:
+                    if (start, end) not in folds:
+                        folds[start, end] = evaluate(payload[start:end])
+                    if folds[start, end] != target[len(blocks)]:
+                        continue
+                stack.append((end, blocks + (payload[start:end],)))
+        return found
 
 
 class Monoid:
@@ -520,40 +604,7 @@ def point(*coords) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Fibers and distribution helpers at the expression level.
-
-
-def multiset_mu_fiber(p: NestedExpression, limit: int = 10) -> list[NestedExpression]:
-    if p.monad != MULTISET or p.depth != 1:
-        raise UnsupportedInstance("expects a depth-1 multiset")
-    return [NestedExpression(MULTISET, 2, f) for f in MULTISET.mu_fiber(p.payload, limit)]
-
-
-def list_mu_fiber(p: NestedExpression, limit: int = 10) -> list[NestedExpression]:
-    if p.monad != LIST or p.depth != 1:
-        raise UnsupportedInstance("expects a depth-1 list")
-    return [NestedExpression(LIST, 2, f) for f in LIST.mu_fiber(p.payload, limit)]
-
-
-def action_witnesses(
-    p: NestedExpression, q: NestedExpression, algebra: AlgebraInstance
-) -> list[tuple]:
-    """All (h, l, x) with h*l = p's element and l acting on x giving q.
-
-    Each triple packs a two-step factorization: flattening (h, (l, x))
-    gives back p, and evaluating the inner pair gives q.  Over a group
-    the list has at most one entry.
-    """
-    monad = algebra.monad
-    if not isinstance(monad, ActionMonad):
-        raise UnsupportedInstance("expects an action algebra")
-    if p.monad != monad or q.monad != monad or p.depth != 1 or q.depth != 1:
-        raise UnsupportedInstance("expects depth-1 action values of the algebra's instance")
-    out = []
-    for h, (l, x) in monad.mu_fiber(p.payload):
-        if (h, algebra.eval_payload((l, x))) == q.payload:
-            out.append((h, l, x))
-    return out
+# Distribution helpers at the expression level.
 
 
 def dist_pushforward(f, p: NestedExpression) -> NestedExpression:

@@ -47,13 +47,17 @@ def multiset_fiber_oracle(atoms):
     return [seen[k] for k in sorted(seen)]
 
 
-def pev_targets_oracle(atoms, algebra):
-    """The full one-step relation out of a bag: target key -> witness keys."""
+def pev_targets_oracle(fiber, algebra):
+    """The one-step relation out of a fiber of depth-2 payloads.
+
+    Maps each target's key to the target and the set of witness keys
+    that evaluate to it.
+    """
     out: dict = {}
-    for payload in multiset_fiber_oracle(atoms):
-        value = NestedExpression(MULTISET, 2, payload)
+    for payload in fiber:
+        value = NestedExpression(algebra.monad, 2, payload)
         target = ev_under(value, algebra, 1)
-        out.setdefault(target.key(), set()).add(value.key())
+        out.setdefault(target.key(), (target, set()))[1].add(value.key())
     return out
 
 

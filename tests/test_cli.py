@@ -10,6 +10,7 @@ from parteval import (
     LIST,
     MULTISET,
     MalformedExpression,
+    Witness,
     convex_algebra,
     expression,
     monoid_algebra,
@@ -17,6 +18,7 @@ from parteval import (
     self_action_algebra,
     cyclic,
 )
+from parteval import cli
 from parteval.cli import main
 from parteval.formats import (
     detect_instance,
@@ -116,6 +118,29 @@ def test_check_reads_expression_files(tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(p_file), str(q_file), "--alg", "nat-add")
     assert code == 0
     assert "witness" in json.loads(out)
+
+
+def test_check_reads_at_file_inputs(tmp_path, capsys):
+    (tmp_path / "p.json").write_text(MS_SRC, encoding="utf-8")
+    (tmp_path / "q.json").write_text(MS_TGT, encoding="utf-8")
+    (tmp_path / "alg.json").write_text('{"alg": "nat-add"}', encoding="utf-8")
+    inline = run(capsys, "check", MS_SRC, MS_TGT, "--alg", "nat-add")
+    from_files = run(capsys, "check", f"@{tmp_path / 'p.json'}", f"@{tmp_path / 'q.json'}",
+                     "--alg", f"@{tmp_path / 'alg.json'}")
+    assert inline[0] == 0
+    assert from_files == inline
+
+
+def test_check_refuses_to_print_a_witness_that_fails_validation(capsys, monkeypatch):
+    def forged(p, q, algebra, limit):
+        # {3}, {4, 5} evaluates to {3, 9}, not the requested {5, 7}.
+        return [Witness(expression(MULTISET, 2, [[3], [4, 5]]), p, q, algebra)]
+
+    monkeypatch.setattr(cli, "enumerate_witnesses", forged)
+    code, out, err = run(capsys, "check", MS_SRC, MS_TGT, "--alg", "nat-add")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
 
 
 def test_check_output_is_byte_deterministic(capsys):

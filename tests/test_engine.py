@@ -1,5 +1,6 @@
 """Witness construction, enumeration, composition, and reduction graphs."""
 
+import itertools
 import random
 
 import pytest
@@ -9,13 +10,14 @@ from parteval import (
     MULTISET,
     EnumerationLimitExceeded,
     InvalidWitness,
-    NestedExpression,
+    Monoid,
     NotComposable,
     ReductionGraph,
     audit_witnesses,
     canonical_filler,
     check_ars_properties,
     check_total_evaluation_law,
+    commutative_monoid_algebra,
     compose_witnesses,
     cyclic,
     enumerate_fillers,
@@ -39,9 +41,14 @@ from parteval.sampling import (
     random_enumerable_expression,
     random_witness,
 )
-from oracles import pev_targets_oracle
+from oracles import list_splits_oracle, multiset_fiber_oracle, pev_targets_oracle
 
 ALG = nat_add_algebra()
+C4_FOLD = monoid_algebra(cyclic(4))
+# Multiplication mod 6: the absorbing 0 gives many blocks the same value.
+Z6_MUL = commutative_monoid_algebra(
+    Monoid("Z6mul", range(6), {(a, b): a * b % 6 for a in range(6) for b in range(6)}, 1)
+)
 
 
 def enumerable_algebras():
@@ -106,18 +113,52 @@ def test_witness_from_value_rejects_wrong_shapes():
 # Enumeration against the brute-force oracle.
 
 
-@pytest.mark.parametrize("atoms", [[3, 4, 5], [1, 1, 2], [2, 2, 2], [0, 1, 5, 5]])
+def assert_enumeration_matches_oracle(algebra, atoms, carrier):
+    monad = algebra.monad
+    p = expression(monad, 1, atoms)
+    fiber = multiset_fiber_oracle(atoms) if monad == MULTISET else list_splits_oracle(atoms)
+    oracle = pev_targets_oracle(fiber, algebra)
+    for target, value_keys in oracle.values():
+        hits = enumerate_witnesses(p, target, algebra)
+        assert [w.value.key() for w in hits] == sorted(value_keys)
+        assert all(w.source == p and w.target == target for w in hits)
+    # Every other target of up to three carrier atoms is unreachable.
+    for n in range(4):
+        for raw in itertools.product(carrier, repeat=n):
+            q = expression(monad, 1, list(raw))
+            if q.key() not in oracle:
+                assert enumerate_witnesses(p, q, algebra) == []
+
+
+@pytest.mark.parametrize("atoms", [[3, 4, 5], [1, 1, 2], [2, 2, 2], [0, 1, 5, 5], []])
 def test_enumerate_witnesses_matches_partition_oracle(atoms):
-    p = multiset_expression(atoms)
-    oracle = pev_targets_oracle(atoms, ALG)
-    targets = {}
-    for payload in MULTISET.mu_fiber(p.payload, limit=8):
-        w = witness_from_value(NestedExpression(MULTISET, 2, payload), ALG)
-        targets[w.target.key()] = w.target
-    assert set(targets) == set(oracle)
-    for target_key, q in targets.items():
-        hits = enumerate_witnesses(p, q, ALG, limit=8)
-        assert {w.value.key() for w in hits} == oracle[target_key]
+    assert_enumeration_matches_oracle(ALG, atoms, range(sum(atoms) + 3))
+
+
+@pytest.mark.parametrize(
+    "algebra,atoms",
+    [
+        (Z6_MUL, [0, 0, 2, 3]),
+        (Z6_MUL, [2, 3, 4, 0, 1]),
+        (Z6_MUL, [1, 1, 5, 5, 5]),
+        (Z6_MUL, [0, 2, 2, 3, 3, 3]),
+        (Z6_MUL, []),
+        (C4_FOLD, [1, 2, 3]),
+        (C4_FOLD, [1, 1, 1, 1, 1]),
+        (C4_FOLD, [2, 2, 0, 2, 1, 3]),
+        (C4_FOLD, [0, 0, 0]),
+        (C4_FOLD, []),
+    ],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_enumerate_witnesses_matches_the_oracle_beyond_nat_add(algebra, atoms):
+    assert_enumeration_matches_oracle(algebra, atoms, algebra.carrier.elements)
+
+
+def test_enumerate_witnesses_finds_the_one_grouping_of_one_to_ten():
+    p = multiset_expression(range(1, 11))
+    hits = enumerate_witnesses(p, multiset_expression([55]), ALG)
+    assert [w.value for w in hits] == [eta_at(p, 0)]
 
 
 def test_enumerate_witnesses_filters_by_target():
@@ -133,6 +174,9 @@ def test_enumerate_witnesses_respects_the_limit():
     p = multiset_expression(range(9))
     with pytest.raises(EnumerationLimitExceeded):
         enumerate_witnesses(p, p, ALG, limit=8)
+    xs = expression(LIST, 1, [1] * 9)
+    with pytest.raises(EnumerationLimitExceeded):
+        enumerate_witnesses(xs, xs, C4_FOLD, limit=8)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from parteval import (
     ActionMonad,
     EnumerationLimitExceeded,
     MalformedExpression,
+    MonadInstance,
     Monoid,
     NestedExpression,
     UnsupportedInstance,
@@ -62,7 +63,10 @@ def test_multiset_fiber_deduplicates_repeated_atoms():
     ]
 
 
-@pytest.mark.parametrize("atoms", [[], [5], [1, 2, 3], [1, 1, 2], [2, 2, 2, 7]])
+@pytest.mark.parametrize(
+    "atoms",
+    [[], [5], [1, 2, 3], [1, 1, 2], [2, 2, 2, 7], [1, 1, 2, 2, 3], [0, 0, 0, 0, 0], ["a", "b", "b"]],
+)
 def test_multiset_fiber_agrees_with_partition_oracle(atoms):
     p = multiset_expression(atoms)
     fiber = MULTISET.mu_fiber(p.payload, limit=8)
@@ -78,13 +82,13 @@ def test_multiset_fiber_respects_the_limit():
         MULTISET.mu_fiber(p.payload, limit=8)
 
 
-@pytest.mark.parametrize("atoms", [[], [1], [1, 2, 3], ["a", "a", "b", "b"]])
+@pytest.mark.parametrize("atoms", [[], [1], [1, 2, 3], ["a", "a", "b", "b"], [3, 1, 3, 1, 2]])
 def test_list_fiber_is_the_composition_set(atoms):
     p = list_expression(atoms)
     fiber = LIST.mu_fiber(p.payload, limit=10)
     expected = 1 if not atoms else 2 ** (len(atoms) - 1)
     assert len(fiber) == expected
-    assert sorted(set(fiber)) == list_splits_oracle(atoms)
+    assert fiber == list_splits_oracle(atoms)
 
 
 def test_list_fiber_matches_oracle_exactly():
@@ -135,6 +139,31 @@ def test_action_fiber_size_equals_group_order():
     fiber = monad.mu_fiber(payload, limit=10)
     assert len(fiber) == 4
     assert all(c4.op(h, l) == 2 and x == 3 for (h, (l, x)) in fiber)
+
+
+Z6_MUL = Monoid("Z6mul", range(6), {(a, b): a * b % 6 for a in range(6) for b in range(6)}, 1)
+
+
+@pytest.mark.parametrize(
+    "algebra,raw",
+    [
+        (nat_add_algebra(), [1, 2, 2, 3, 3, 4]),
+        (commutative_monoid_algebra(Z6_MUL), [0, 0, 2, 3, 3, 5]),
+        (monoid_algebra(cyclic(4)), [1, 3, 2, 2, 0, 1, 3]),
+        (self_action_algebra(cyclic(6)), (4, 1)),
+    ],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_directed_fiber_search_equals_filtering_the_fiber(algebra, raw):
+    monad = algebra.monad
+    payload = expression(monad, 1, raw).payload
+    targets = {
+        monad.fmap(algebra.eval_payload, f, 2, 0) for f in monad.mu_fiber(payload, limit=10)
+    }
+    for target in targets:
+        filtered = MonadInstance.mu_fiber_to(monad, payload, target, algebra.eval_payload)
+        assert filtered
+        assert monad.mu_fiber_to(payload, target, algebra.eval_payload) == filtered
 
 
 def test_action_monad_unit_and_mult():
