@@ -166,8 +166,8 @@ def _load_pair(cfg: JobConfig):
             f"expressions are tagged {key!r}, not {cfg.instance!r}"
         )
     algebra = parse_algebra(cfg.algebra_spec, key)
-    p = parse_expression(p_data, algebra.monad)
-    q = parse_expression(q_data, algebra.monad)
+    p = parse_expression(p_data, algebra.monad, algebra.carrier)
+    q = parse_expression(q_data, algebra.monad, algebra.carrier)
     return key, algebra, p, q
 
 
@@ -179,7 +179,7 @@ def _load_seed(cfg: JobConfig):
             f"expression is tagged {key!r}, not {cfg.instance!r}"
         )
     algebra = parse_algebra(cfg.algebra_spec, key)
-    return key, algebra, parse_expression(data, algebra.monad)
+    return key, algebra, parse_expression(data, algebra.monad, algebra.carrier)
 
 
 def cmd_check(cfg: JobConfig) -> int:

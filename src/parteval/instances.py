@@ -593,9 +593,16 @@ def as_fraction(v) -> Fraction:
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
     if isinstance(v, (tuple, list)) and len(v) == 2:
-        return Fraction(int(v[0]), int(v[1]))
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in v):
+            raise MalformedExpression(f"numerator and denominator must be integers: {v!r}")
+        if v[1] == 0:
+            raise MalformedExpression(f"zero denominator: {v!r}")
+        return Fraction(v[0], v[1])
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MalformedExpression(f"not a rational: {v!r}") from exc
     raise MalformedExpression(f"not a rational: {v!r}")
 
 

@@ -9,11 +9,13 @@ the higher cells by conditioning.  On the line the relation has an
 independent characterization, second-order stochastic dominance, which
 doubles as a cross-check.
 
-Everything here is Fraction arithmetic; no tolerance appears anywhere.
+Everything here is exact rational arithmetic, Fractions or integer rows
+over a common denominator; no tolerance appears anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -69,55 +71,78 @@ class LpProblem:
 def lp_feasible(prob: LpProblem):
     """A nonnegative rational solution of the system, or None.
 
-    Phase-1 simplex over Fractions with Bland's rule on both the
-    entering and the leaving choice; Bland precludes cycling, so the
-    run always terminates, and identical inputs always pivot the same
-    way.  Whatever assignment comes out is substituted back into every
+    Phase-1 simplex with Bland's rule on both the entering and the
+    leaving choice; Bland precludes cycling, so the run always
+    terminates, and identical inputs always pivot the same way.
+
+    Each tableau row, and the reduced-cost row, is a list of integer
+    numerators over one positive integer denominator, divided through
+    by their gcd after every update.  Only signs and ratios steer the
+    pivots: the sign of an entry is the sign of its numerator, and two
+    ratios b_i/c_i within a row share the denominator, so they compare
+    by cross-multiplying.  The pivot sequence, and so the returned
+    vertex, is the one the same Bland simplex over Fractions takes.
+    Whatever assignment comes out is substituted back into every
     constraint before being returned.
     """
     n = len(prob.labels)
     m = len(prob.rows)
+    # Row i of the tableau reads tableau[i] / dens[i], the reduced-cost
+    # row z / zden; the last entry of each is the right-hand side.
     tableau = []
+    dens = []
     for i, (row, b) in enumerate(zip(prob.rows, prob.rhs)):
+        den = math.lcm(b.denominator, *(c.denominator for c in row))
         sign = -1 if b < 0 else 1
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tableau.append([sign * c for c in row] + art + [sign * b])
+        art = [0] * m
+        art[i] = den
+        tableau.append(
+            [sign * c.numerator * (den // c.denominator) for c in row]
+            + art
+            + [sign * b.numerator * (den // b.denominator)]
+        )
+        dens.append(den)
     basis = list(range(n, n + m))
 
     # Reduced-cost row for minimizing the artificial total; the last
-    # entry tracks the negated objective value.
-    z = [-sum(tableau[i][j] for i in range(m)) for j in range(n + m + 1)]
-    for i in range(m):
-        z[n + i] += 1
+    # entry tracks the negated objective value, and the artificial
+    # columns start at zero.
+    zden = math.lcm(*dens)
+    z = [0] * (n + m + 1)
+    for row, den in zip(tableau, dens):
+        f = zden // den
+        z = [a - f * c for a, c in zip(z, row)]
+    z[n : n + m] = [0] * m
+    z, zden = _reduced(z, zden)
 
     while True:
         enter = next((j for j in range(n + m) if z[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
             coeff = tableau[i][enter]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best, leave = ratio, i
+                if leave is None:
+                    leave = i
+                    continue
+                ratio = tableau[i][-1] * tableau[leave][enter]
+                best = tableau[leave][-1] * coeff
+                if ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise PevError("artificial objective cannot be unbounded; solver bug")
-        pivot = tableau[leave][enter]
-        tableau[leave] = [c / pivot for c in tableau[leave]]
+        pivot, pden = _reduced(tableau[leave], tableau[leave][enter])
+        tableau[leave], dens[leave] = pivot, pden
         for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [c - f * d for c, d in zip(tableau[i], tableau[leave])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [c - f * d for c, d in zip(z, tableau[leave])]
+            f = tableau[i][enter]
+            if i != leave and f != 0:
+                tableau[i], dens[i] = _reduced(
+                    [a * pden - f * c for a, c in zip(tableau[i], pivot)],
+                    dens[i] * pden,
+                )
+        f = z[enter]
+        z, zden = _reduced([a * pden - f * c for a, c in zip(z, pivot)], zden * pden)
         basis[leave] = enter
 
     if z[-1] != 0:
@@ -126,13 +151,21 @@ def lp_feasible(prob: LpProblem):
     values = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            values[var] = tableau[i][-1]
+            values[var] = Fraction(tableau[i][-1], dens[i])
     for row, b in zip(prob.rows, prob.rhs):
         if sum((c * v for c, v in zip(row, values)), Fraction(0)) != b:
             raise PevError("simplex output fails a constraint; solver bug")
     if any(v < 0 for v in values):
         raise PevError("simplex output went negative; solver bug")
     return dict(zip(prob.labels, values))
+
+
+def _reduced(nums: list, den: int):
+    """The row nums / den with the common factor of all entries divided out."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [a // g for a in nums], den // g
 
 
 # ---------------------------------------------------------------------------
@@ -522,20 +555,27 @@ def sosd_1d(p: NestedExpression, q: NestedExpression) -> bool:
     joint support must favor q.  Kinked piecewise-linear functions are
     extremal among concave test functions, so for finite support this
     family decides the usual every-concave-function definition.
+
+    One sweep over the sorted joint support decides every cutoff: below
+    t, min(X, t) is X, and from t on it is t, so E[min(X, t)] is the
+    first moment below t plus t times the mass from t on.  After the
+    last point the first moments are the means.
     """
-    pr = _scalar_rows(p)
-    qr = _scalar_rows(q)
-    if sum((x * w for x, w in pr), Fraction(0)) != sum(
-        (x * w for x, w in qr), Fraction(0)
-    ):
-        return False
-    cutoffs = sorted({x for x, _ in pr} | {x for x, _ in qr})
-    for t in cutoffs:
-        low = sum((min(x, t) * w for x, w in pr), Fraction(0))
-        high = sum((min(x, t) * w for x, w in qr), Fraction(0))
-        if low > high:
+    pr = dict(_scalar_rows(p))
+    qr = dict(_scalar_rows(q))
+    p_rest = sum(pr.values(), Fraction(0))
+    q_rest = sum(qr.values(), Fraction(0))
+    p_moment = q_moment = Fraction(0)
+    for t in sorted(pr.keys() | qr.keys()):
+        if p_moment + t * p_rest > q_moment + t * q_rest:
             return False
-    return True
+        wp = pr.get(t, 0)
+        wq = qr.get(t, 0)
+        p_moment += t * wp
+        q_moment += t * wq
+        p_rest -= wp
+        q_rest -= wq
+    return p_moment == q_moment
 
 
 def wasserstein1_1d(p: NestedExpression, q: NestedExpression) -> Fraction:

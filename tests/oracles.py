@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from parteval import MULTISET, NestedExpression, ev_under
+from parteval import MULTISET, NestedExpression, PevError, ev_under
 
 
 def set_partitions(items):
@@ -212,3 +212,73 @@ def fm_feasible(rows, rhs):
         constraints = new
 
     return all(bound >= 0 for coeffs, bound in constraints)
+
+
+# ---------------------------------------------------------------------------
+# The exact simplex over Fractions, entry by entry.
+
+
+def lp_feasible_reference(prob):
+    """The vertex that Bland's phase-1 simplex over Fractions reaches.
+
+    The library's solver pivots on integer rows; it must take the same
+    pivots, so it must return this same dict (or None) on every input.
+    """
+    n = len(prob.labels)
+    m = len(prob.rows)
+    tableau = []
+    for i, (row, b) in enumerate(zip(prob.rows, prob.rhs)):
+        sign = -1 if b < 0 else 1
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        tableau.append([sign * c for c in row] + art + [sign * b])
+    basis = list(range(n, n + m))
+
+    # Reduced-cost row for minimizing the artificial total; the last
+    # entry tracks the negated objective value.
+    z = [-sum(tableau[i][j] for i in range(m)) for j in range(n + m + 1)]
+    for i in range(m):
+        z[n + i] += 1
+
+    while True:
+        enter = next((j for j in range(n + m) if z[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coeff = tableau[i][enter]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best, leave = ratio, i
+        if leave is None:
+            raise PevError("artificial objective cannot be unbounded; solver bug")
+        pivot = tableau[leave][enter]
+        tableau[leave] = [c / pivot for c in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [c - f * d for c, d in zip(tableau[i], tableau[leave])]
+        if z[enter] != 0:
+            f = z[enter]
+            z = [c - f * d for c, d in zip(z, tableau[leave])]
+        basis[leave] = enter
+
+    if z[-1] != 0:
+        return None
+
+    values = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            values[var] = tableau[i][-1]
+    for row, b in zip(prob.rows, prob.rhs):
+        if sum((c * v for c, v in zip(row, values)), Fraction(0)) != b:
+            raise PevError("simplex output fails a constraint; solver bug")
+    if any(v < 0 for v in values):
+        raise PevError("simplex output went negative; solver bug")
+    return dict(zip(prob.labels, values))

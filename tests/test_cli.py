@@ -352,6 +352,40 @@ def test_dist_weights_must_sum_to_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["check", "sosd"])
+@pytest.mark.parametrize(
+    "weight, rest",
+    [
+        ("[1, 0]", "[1, 2]"),
+        ('"1/0"', "[1, 2]"),
+        ('"x"', "[1, 2]"),
+        # Read as 0 and as 1/2, these would sum to one with the rest.
+        ("[0.5, 1]", "[1, 1]"),
+        ("[true, 2]", "[1, 2]"),
+    ],
+)
+def test_unreadable_weights_exit_two(command, weight, rest, capsys):
+    p = '{"dist": [[[0], %s], [[2], %s]]}' % (weight, rest)
+    alg = ("--alg", CONVEX_ALG) if command == "check" else ()
+    code, out, err = run(capsys, command, p, DIST_PT, *alg)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", '{"ms": [["a", 1]]}', '{"ms": [["a", 1]]}'],
+        ["check", '{"ms": [[-4, 1]]}', '{"ms": [[-4, 1]]}'],
+        ["graph", '{"ms": [[-4, 1], [5, 1]]}'],
+    ],
+)
+def test_atoms_outside_the_carrier_exit_two(argv, capsys):
+    code, out, err = run(capsys, *argv, "--alg", "nat-add")
+    assert (code, out) == (2, "")
+    assert "outside carrier" in err
+
+
 def test_lp_cap_exits_two(capsys):
     code, _, err = run(capsys, "check", DIST_SRC, DIST_MID,
                        "--alg", CONVEX_ALG, "--lp-cap", "3")

@@ -30,6 +30,7 @@ from parteval import (
     nat_add_algebra,
     point,
     sosd_1d,
+    stochastics,
     validate_witness,
     wasserstein1_1d,
     witness_from_dilation,
@@ -41,7 +42,7 @@ from parteval.sampling import (
     random_lift_triple,
     random_point_distribution,
 )
-from oracles import fm_feasible, lp_feasible_oracle
+from oracles import fm_feasible, lp_feasible_oracle, lp_feasible_reference
 
 ALG1 = convex_algebra(1)
 
@@ -88,7 +89,26 @@ def test_lp_feasible_on_the_transport_system():
     assert solution == {"a": HALF, "b": HALF}
 
 
-def test_lp_feasible_agrees_with_both_desk_oracles():
+def _decide_pev_systems(monkeypatch, pairs, algebra):
+    """The LP problems decide_pev poses for each (p, q), left unsolved."""
+    posed = []
+    monkeypatch.setattr(stochastics, "lp_feasible", posed.append)
+    for p, q in pairs:
+        decide_pev(p, q, algebra)
+    monkeypatch.undo()
+    return posed
+
+
+def _random_system(rng, n_max, m_max, coeff, rhs):
+    n = rng.randint(1, n_max)
+    m = rng.randint(1, m_max)
+    rows = tuple(tuple(coeff() for _ in range(n)) for _ in range(m))
+    return LpProblem(tuple(f"x{i}" for i in range(n)), rows, tuple(rhs() for _ in range(m)))
+
+
+def test_lp_feasible_agrees_with_both_desk_oracles(monkeypatch):
+    # The vertex, not only feasibility, must match the Fraction simplex:
+    # the printed witness is built from it.
     rng = random.Random(2024)
     for _ in range(1000):
         n = rng.randint(1, 6)
@@ -98,7 +118,9 @@ def test_lp_feasible_agrees_with_both_desk_oracles():
         )
         rhs = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m))
         labels = tuple(f"x{i}" for i in range(n))
-        got = lp_feasible(LpProblem(labels, rows, rhs))
+        prob = LpProblem(labels, rows, rhs)
+        got = lp_feasible(prob)
+        assert got == lp_feasible_reference(prob)
         assert (got is not None) == fm_feasible([list(r) for r in rows], list(rhs))
         if n <= 5:
             want = lp_feasible_oracle([list(r) for r in rows], list(rhs))
@@ -107,6 +129,37 @@ def test_lp_feasible_agrees_with_both_desk_oracles():
             for row, b in zip(rows, rhs):
                 assert sum(c * got[l] for c, l in zip(row, labels)) == b
             assert all(v >= 0 for v in got.values())
+
+    # Large denominators, and 0/1 systems whose ratio tests tie often.
+    def big():
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+    def bit():
+        return Fraction(rng.randint(0, 1))
+
+    problems = [_random_system(rng, 6, 3, big, big) for _ in range(150)]
+    problems += [_random_system(rng, 6, 4, bit, bit) for _ in range(300)]
+    for prob in problems:
+        got = lp_feasible(prob)
+        assert got == lp_feasible_reference(prob)
+        assert (got is not None) == fm_feasible(
+            [list(r) for r in prob.rows], list(prob.rhs)
+        )
+
+    # The transport systems decide_pev builds: a fine p against a coarse
+    # q that it spreads onto (feasible) and the reverse (mostly not), on
+    # the line and in the plane, some with large weight denominators.
+    for dim in (1, 2):
+        algebra = convex_algebra(dim)
+        pairs = []
+        for k in range(12):
+            p = random_point_distribution(
+                rng, dim, max_points=8, max_den=997 if k % 3 == 0 else 12
+            )
+            q = random_contraction(p, rng, algebra)
+            pairs += [(p, q), (q, p)]
+        for prob in _decide_pev_systems(monkeypatch, pairs, algebra):
+            assert lp_feasible(prob) == lp_feasible_reference(prob)
 
 
 # ---------------------------------------------------------------------------
