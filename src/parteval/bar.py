@@ -24,9 +24,10 @@ from .engine import (
     DEFAULT_FILLER_LIMIT,
     DEFAULT_NODE_CAP,
     Witness,
+    _fiber_table,
+    _record,
     canonical_filler,
     enumerate_fillers,
-    reduction_graph,
     witness_from_value,
 )
 from .instances import DIST
@@ -271,65 +272,58 @@ def build_truncated_complex(
     witnesses.  Degenerate cells are included automatically because the
     trivial witnesses lie in every fiber.  Beyond level 2 the higher
     cells are out of scope, so max_level is capped at 2.
+
+    Everything is read off the one pass over the fibers behind
+    `reduction_graph`.  A level-1 cell is a payload of its source's
+    fiber, so its faces (source, target) are the two node ranks the
+    pass recorded.  The degeneracy of a vertex x is its identity
+    witness eta_at(x, 1).  A level-2 filler z of (w, h) has face 0 = w
+    and face 2 = h by construction, so only face 1 = mu_at(z, 1) and
+    the level-1 degeneracies eta_at(w, 1), eta_at(w, 2) are computed,
+    then looked up by key.  `check_incidence` recomputes every face
+    and degeneracy independently, from the cells alone.
     """
     if not 0 <= max_level <= 2:
         raise UnsupportedInstance("truncation is supported for levels 0..2 only")
-    graph = reduction_graph(seed, algebra, fiber_limit, node_cap)
+    nodes, rows = _fiber_table(seed, algebra, fiber_limit, node_cap)
     monad = algebra.monad
 
-    levels: list[tuple[NestedExpression, ...]] = [graph.nodes]
-    witnesses: list[Witness] = []
-    if max_level >= 1:
-        cells: dict = {}
-        for node in graph.nodes:
-            for payload in monad.mu_fiber(node.payload, fiber_limit):
-                value = NestedExpression(monad, 2, payload)
-                w = witness_from_value(value, algebra)
-                cells[value.key()] = value
-                witnesses.append(w)
-        levels.append(tuple(sorted(cells.values(), key=lambda v: v.key())))
-    if max_level >= 2:
-        by_source: dict = {}
-        for w in witnesses:
-            by_source.setdefault(w.source.key(), []).append(w)
-        cells2: dict = {}
-        for w in witnesses:
-            for h in by_source.get(w.target.key(), ()):
-                for filler in enumerate_fillers(w, h, filler_limit):
-                    cells2[filler.key()] = filler
-        levels.append(tuple(sorted(cells2.values(), key=lambda v: v.key())))
-
-    index_of = [{x.key(): i for i, x in enumerate(level)} for level in levels]
+    levels: list[tuple[NestedExpression, ...]] = [tuple(nodes)]
     faces: list[tuple] = [()]
-    for lvl in range(1, max_level + 1):
-        rows = []
-        for x in levels[lvl]:
-            cell = Simplex(algebra, lvl, x)
-            rows.append(
-                tuple(
-                    index_of[lvl - 1][face(cell, j).value.key()]
-                    for j in range(lvl + 1)
-                )
-            )
-        faces.append(tuple(rows))
     degeneracies: list[tuple] = []
-    for lvl in range(max_level):
-        rows = []
-        for x in levels[lvl]:
-            cell = Simplex(algebra, lvl, x)
-            rows.append(
-                tuple(
-                    index_of[lvl + 1][degeneracy(cell, j).value.key()]
-                    for j in range(lvl + 1)
-                )
-            )
-        degeneracies.append(tuple(rows))
+    if max_level >= 1:
+        cells = []
+        for u, row in enumerate(rows):
+            for payload, v in row:
+                value = NestedExpression(monad, 2, payload)
+                w = _record(Witness(value, nodes[u], nodes[v], algebra))
+                cells.append((value.key(), w, (u, v)))
+        cells.sort(key=lambda cell: cell[0])
+        index1 = {k: i for i, (k, _, _) in enumerate(cells)}
+        levels.append(tuple(w.value for _, w, _ in cells))
+        faces.append(tuple(f for _, _, f in cells))
+        degeneracies.append(tuple((index1[eta_at(x, 1).key()],) for x in nodes))
+    if max_level >= 2:
+        by_source: list[list[int]] = [[] for _ in nodes]
+        for i, (_, _, (u, _)) in enumerate(cells):
+            by_source[u].append(i)
+        cells2: dict = {}
+        for i, (_, w, (_, v)) in enumerate(cells):
+            for j in by_source[v]:
+                for z in enumerate_fillers(w, cells[j][1], filler_limit):
+                    cells2[z.key()] = (z, i, j)
+        ordered = sorted(cells2.items(), key=lambda item: item[0])
+        index2 = {k: i for i, (k, _) in enumerate(ordered)}
+        levels.append(tuple(z for _, (z, _, _) in ordered))
+        faces.append(tuple(
+            (i, index1[mu_at(z, 1).key()], j) for _, (z, i, j) in ordered
+        ))
+        degeneracies.append(tuple(
+            (index2[eta_at(x, 1).key()], index2[eta_at(x, 2).key()])
+            for x in levels[1]
+        ))
     degeneracies.append(())
 
     return TruncatedComplex(
-        algebra,
-        max_level,
-        tuple(levels),
-        tuple(faces),
-        tuple(degeneracies[: max_level + 1]),
+        algebra, max_level, tuple(levels), tuple(faces), tuple(degeneracies)
     )

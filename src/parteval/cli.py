@@ -144,6 +144,8 @@ def _load_json(source: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise MalformedExpression(f"bad JSON in {source!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedExpression(f"JSON nests too deeply in {source[:40]!r}...") from exc
     except OSError as exc:
         raise MalformedExpression(f"cannot read {source!r}: {exc}") from exc
 

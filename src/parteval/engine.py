@@ -11,6 +11,8 @@ graph whose abstract-rewriting properties can be checked directly.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -201,7 +203,10 @@ def enumerate_fillers(
     Multisets admit one filler per family of bijections between
     equal-result groups, so repeated groups yield repeated (equal)
     fillers; lists, actions, and the terminal instance are rigid and
-    give exactly one.
+    give exactly one.  Bijections that differ only by swapping equal
+    blocks give equal fillers: each such filler is built once and
+    repeated as often as the bijections that give it, so the list has
+    one entry per bijection (in no promised order).
     """
     _require_composable(first, second)
     monad = first.algebra.monad
@@ -217,15 +222,16 @@ def enumerate_fillers(
                 )
         out = []
         per_group = [
-            [list(pm) for pm in itertools.permutations(blocks)]
+            list(dict.fromkeys(itertools.permutations(blocks)))
             for _, blocks, _ in groups
         ]
+        repeats = count // math.prod(len(orders) for orders in per_group)
         for combo in itertools.product(*per_group):
             assignment: dict = {i: [] for i in range(n_outer)}
             for (_, _, slots), blocks in zip(groups, combo):
                 for blk, slot in zip(blocks, slots):
                     assignment[slot[0]].append(blk)
-            out.append(_multiset_filler_from_assignment(assignment))
+            out.extend([_multiset_filler_from_assignment(assignment)] * repeats)
         return out
     return [canonical_filler(first, second)]
 
@@ -336,6 +342,48 @@ class ReductionGraph:
         return 0
 
 
+def _fiber_table(
+    seed: NestedExpression, algebra: AlgebraInstance, fiber_limit: int, node_cap: int
+):
+    """One breadth-first pass over the fibers of everything reachable.
+
+    Returns (nodes, rows): the nodes sorted by key, and for the node at
+    rank r, rows[r] lists (payload, target rank) for each payload of its
+    mu-fiber, in fiber order.  Each node's key and each payload's
+    target are computed exactly once.
+    """
+    _require_depth1(seed, algebra)
+    monad = algebra.monad
+    evaluate = algebra.eval_payload
+    nodes = [seed]
+    ids = {seed.key(): 0}
+    rows = []
+    queue = deque([0])
+    while queue:
+        row = []
+        for payload in monad.mu_fiber(nodes[queue.popleft()].payload, fiber_limit):
+            target = monad.fmap(evaluate, payload, 2, 0)
+            tkey = monad.key(target, 1)
+            j = ids.get(tkey)
+            if j is None:
+                if len(nodes) >= node_cap:
+                    raise EnumerationLimitExceeded(
+                        f"reduction graph exceeds {node_cap} nodes"
+                    )
+                j = ids[tkey] = len(nodes)
+                nodes.append(NestedExpression(monad, 1, target))
+                queue.append(j)
+            row.append((payload, j))
+        rows.append(row)
+    # Ids follow discovery order; renumber them by key.
+    order = [ids[k] for k in sorted(ids)]
+    rank = {i: r for r, i in enumerate(order)}
+    return (
+        [nodes[i] for i in order],
+        [[(payload, rank[j]) for payload, j in rows[i]] for i in order],
+    )
+
+
 def reduction_graph(
     seed: NestedExpression,
     algebra: AlgebraInstance,
@@ -344,33 +392,17 @@ def reduction_graph(
 ) -> ReductionGraph:
     """Breadth-first closure of the one-step relation out of `seed`.
 
+    Nodes are sorted by key; an edge u -> v counts the payloads of u's
+    mu-fiber that evaluate blockwise to v, and edges are sorted by
+    (u, v).  Both come from one pass over the fibers (`_fiber_table`),
+    which builds each fiber and evaluates each payload once.
     Self-loops and an edge to the fully evaluated expression appear at
     every node because the trivial witnesses always lie in the fiber.
     """
-    _require_depth1(seed, algebra)
-    monad = algebra.monad
-    seen = {seed.key(): seed}
-    queue = [seed]
-    edge_counts: dict = {}
-    while queue:
-        node = queue.pop(0)
-        for payload in monad.mu_fiber(node.payload, fiber_limit):
-            value = NestedExpression(monad, 2, payload)
-            target = ev_under(value, algebra, 1)
-            pair = (node.key(), target.key())
-            edge_counts[pair] = edge_counts.get(pair, 0) + 1
-            if target.key() not in seen:
-                if len(seen) >= node_cap:
-                    raise EnumerationLimitExceeded(
-                        f"reduction graph exceeds {node_cap} nodes"
-                    )
-                seen[target.key()] = target
-                queue.append(target)
-    nodes = tuple(sorted(seen.values(), key=lambda n: n.key()))
-    edges = tuple(
-        (seen[u], seen[v], edge_counts[(u, v)]) for u, v in sorted(edge_counts)
-    )
-    return ReductionGraph(algebra, nodes, edges)
+    nodes, rows = _fiber_table(seed, algebra, fiber_limit, node_cap)
+    counts = Counter((u, v) for u, row in enumerate(rows) for _, v in row)
+    edges = tuple((nodes[u], nodes[v], n) for (u, v), n in sorted(counts.items()))
+    return ReductionGraph(algebra, tuple(nodes), edges)
 
 
 @dataclass(frozen=True)

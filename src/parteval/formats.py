@@ -299,13 +299,11 @@ def parse_witness(data: dict, algebra: AlgebraInstance) -> Witness:
 
 
 def graph_to_json(g: ReductionGraph) -> dict:
-    index = {node.key(): i for i, node in enumerate(g.nodes)}
+    index = {node: i for i, node in enumerate(g.nodes)}
     return {
         "algebra": g.algebra.name,
         "nodes": [expression_to_json(n) for n in g.nodes],
-        "edges": [
-            [index[u.key()], index[v.key()], count] for u, v, count in g.edges
-        ],
+        "edges": [[index[u], index[v], count] for u, v, count in g.edges],
     }
 
 
@@ -314,13 +312,11 @@ def _dot_quote(text: str) -> str:
 
 
 def graph_to_dot(g: ReductionGraph) -> str:
+    label = {node: _dot_quote(str(node)) for node in g.nodes}
     lines = ["digraph reduction {"]
-    for node in g.nodes:
-        lines.append(f"  {_dot_quote(str(node))};")
+    lines.extend(f"  {label[node]};" for node in g.nodes)
     for u, v, count in g.edges:
-        lines.append(
-            f"  {_dot_quote(str(u))} -> {_dot_quote(str(v))} [label={count}];"
-        )
+        lines.append(f"  {label[u]} -> {label[v]} [label={count}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

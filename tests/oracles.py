@@ -3,7 +3,9 @@
 Everything here recomputes, by the dumbest correct method available,
 quantities the library computes cleverly.  Tests freeze small outputs
 of these oracles or compare them wholesale against the library; the
-oracles deliberately share no code with the package.
+brute-force oracles deliberately share no code with the package.  The
+reference bodies at the end are the library's earlier, slower
+implementations; the current ones must give the same results.
 """
 
 from __future__ import annotations
@@ -11,7 +13,30 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from parteval import MULTISET, NestedExpression, PevError, ev_under
+from parteval import (
+    MULTISET,
+    EnumerationLimitExceeded,
+    NestedExpression,
+    PevError,
+    ReductionGraph,
+    Simplex,
+    TruncatedComplex,
+    UnsupportedInstance,
+    canonical_filler,
+    degeneracy,
+    ev_under,
+    face,
+    witness_from_value,
+)
+from parteval.engine import (
+    DEFAULT_FIBER_LIMIT,
+    DEFAULT_FILLER_LIMIT,
+    DEFAULT_NODE_CAP,
+    _multiset_filler_from_assignment,
+    _multiset_groups,
+    _require_composable,
+    _require_depth1,
+)
 
 
 def set_partitions(items):
@@ -282,3 +307,141 @@ def lp_feasible_reference(prob):
     if any(v < 0 for v in values):
         raise PevError("simplex output went negative; solver bug")
     return dict(zip(prob.labels, values))
+
+
+# ---------------------------------------------------------------------------
+# Reduction graph, fillers and truncated complex, recomputing every face.
+#
+# These are the library's earlier bodies: the graph rebuilds each fiber
+# and re-keys every node, the complex rebuilds every fiber once more and
+# recomputes every face and degeneracy through `face` and `degeneracy`,
+# and the fillers come from every permutation of every group.  The
+# library reads the same answers off one pass over the fibers.
+
+
+def reduction_graph_reference(
+    seed, algebra, fiber_limit=DEFAULT_FIBER_LIMIT, node_cap=DEFAULT_NODE_CAP
+):
+    _require_depth1(seed, algebra)
+    monad = algebra.monad
+    seen = {seed.key(): seed}
+    queue = [seed]
+    edge_counts: dict = {}
+    while queue:
+        node = queue.pop(0)
+        for payload in monad.mu_fiber(node.payload, fiber_limit):
+            value = NestedExpression(monad, 2, payload)
+            target = ev_under(value, algebra, 1)
+            pair = (node.key(), target.key())
+            edge_counts[pair] = edge_counts.get(pair, 0) + 1
+            if target.key() not in seen:
+                if len(seen) >= node_cap:
+                    raise EnumerationLimitExceeded(
+                        f"reduction graph exceeds {node_cap} nodes"
+                    )
+                seen[target.key()] = target
+                queue.append(target)
+    nodes = tuple(sorted(seen.values(), key=lambda n: n.key()))
+    edges = tuple(
+        (seen[u], seen[v], edge_counts[(u, v)]) for u, v in sorted(edge_counts)
+    )
+    return ReductionGraph(algebra, nodes, edges)
+
+
+def enumerate_fillers_reference(first, second, limit=DEFAULT_FILLER_LIMIT):
+    _require_composable(first, second)
+    monad = first.algebra.monad
+    if monad == MULTISET:
+        n_outer, groups = _multiset_groups(first, second)
+        count = 1
+        for _, blocks, _ in groups:
+            for i in range(2, len(blocks) + 1):
+                count *= i
+            if count > limit:
+                raise EnumerationLimitExceeded(
+                    f"filler count exceeds {limit}; tighten the inputs"
+                )
+        out = []
+        per_group = [
+            [list(pm) for pm in itertools.permutations(blocks)]
+            for _, blocks, _ in groups
+        ]
+        for combo in itertools.product(*per_group):
+            assignment: dict = {i: [] for i in range(n_outer)}
+            for (_, _, slots), blocks in zip(groups, combo):
+                for blk, slot in zip(blocks, slots):
+                    assignment[slot[0]].append(blk)
+            out.append(_multiset_filler_from_assignment(assignment))
+        return out
+    return [canonical_filler(first, second)]
+
+
+def build_truncated_complex_reference(
+    seed,
+    algebra,
+    max_level=2,
+    fiber_limit=DEFAULT_FIBER_LIMIT,
+    node_cap=DEFAULT_NODE_CAP,
+    filler_limit=DEFAULT_FILLER_LIMIT,
+):
+    if not 0 <= max_level <= 2:
+        raise UnsupportedInstance("truncation is supported for levels 0..2 only")
+    graph = reduction_graph_reference(seed, algebra, fiber_limit, node_cap)
+    monad = algebra.monad
+
+    levels = [graph.nodes]
+    witnesses = []
+    if max_level >= 1:
+        cells: dict = {}
+        for node in graph.nodes:
+            for payload in monad.mu_fiber(node.payload, fiber_limit):
+                value = NestedExpression(monad, 2, payload)
+                w = witness_from_value(value, algebra)
+                cells[value.key()] = value
+                witnesses.append(w)
+        levels.append(tuple(sorted(cells.values(), key=lambda v: v.key())))
+    if max_level >= 2:
+        by_source: dict = {}
+        for w in witnesses:
+            by_source.setdefault(w.source.key(), []).append(w)
+        cells2: dict = {}
+        for w in witnesses:
+            for h in by_source.get(w.target.key(), ()):
+                for filler in enumerate_fillers_reference(w, h, filler_limit):
+                    cells2[filler.key()] = filler
+        levels.append(tuple(sorted(cells2.values(), key=lambda v: v.key())))
+
+    index_of = [{x.key(): i for i, x in enumerate(level)} for level in levels]
+    faces = [()]
+    for lvl in range(1, max_level + 1):
+        rows = []
+        for x in levels[lvl]:
+            cell = Simplex(algebra, lvl, x)
+            rows.append(
+                tuple(
+                    index_of[lvl - 1][face(cell, j).value.key()]
+                    for j in range(lvl + 1)
+                )
+            )
+        faces.append(tuple(rows))
+    degeneracies = []
+    for lvl in range(max_level):
+        rows = []
+        for x in levels[lvl]:
+            cell = Simplex(algebra, lvl, x)
+            rows.append(
+                tuple(
+                    index_of[lvl + 1][degeneracy(cell, j).value.key()]
+                    for j in range(lvl + 1)
+                )
+            )
+        degeneracies.append(tuple(rows))
+    degeneracies.append(())
+
+    return TruncatedComplex(
+        algebra,
+        max_level,
+        tuple(levels),
+        tuple(faces),
+        tuple(degeneracies[: max_level + 1]),
+    )

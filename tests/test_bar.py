@@ -5,12 +5,15 @@ import random
 import pytest
 
 from parteval import (
+    LIST,
     MULTISET,
+    TERMINAL,
     DepthMismatch,
     IndexOutOfRange,
     NotComposable,
     Simplex,
     UnsupportedInstance,
+    audit_witnesses,
     build_truncated_complex,
     check_simplicial_identities,
     convex_algebra,
@@ -27,12 +30,15 @@ from parteval import (
     reduction_graph,
     self_action_algebra,
     simplex_from_witness,
+    terminal_algebra,
+    validate_witness,
     vertex,
     witness_from_simplex,
     witness_from_value,
 )
 from parteval.faults import misindexed_face
 from parteval.sampling import law_samples, random_composable_pair
+from oracles import build_truncated_complex_reference
 
 ALG = nat_add_algebra()
 
@@ -212,3 +218,44 @@ def test_terminal_complex_is_trivial():
     assert len(complex_.levels[1]) == 1
     assert len(complex_.levels[2]) == 1
     assert complex_.check_incidence()
+
+
+C4_FOLD = monoid_algebra(cyclic(4))
+C6_ACT = self_action_algebra(cyclic(6))
+
+
+def case_id(x):
+    return getattr(x, "name", None) or str(x)
+
+REFERENCE_COMPLEXES = [
+    (multiset_expression([1, 2, 3, 4]), ALG),
+    (multiset_expression([1, 1, 2, 3]), ALG),
+    (multiset_expression([1, 1, 2, 2, 3]), ALG),
+    (multiset_expression([1, 1, 1, 2, 2]), ALG),
+    (multiset_expression([3, 3, 3, 3, 3]), ALG),
+    (expression(LIST, 1, [1, 2, 3, 0, 1]), C4_FOLD),
+    (expression(C6_ACT.monad, 1, (2, 3)), C6_ACT),
+    (expression(TERMINAL, 1, "x"), terminal_algebra()),
+]
+
+
+@pytest.mark.parametrize("seed, algebra", REFERENCE_COMPLEXES, ids=case_id)
+def test_complex_equals_the_recomputing_reference(seed, algebra):
+    with audit_witnesses() as log:
+        complex_ = build_truncated_complex(seed, algebra)
+    ref = build_truncated_complex_reference(seed, algebra)
+    assert complex_.levels == ref.levels
+    assert complex_.faces == ref.faces
+    assert complex_.degeneracies == ref.degeneracies
+    # One recorded witness per level-1 cell, each checkable on its own.
+    assert len(log) == complex_.size(1)
+    assert sorted(w.value.key() for w in log) == [x.key() for x in complex_.levels[1]]
+    assert all(validate_witness(w) for w in log)
+
+
+@pytest.mark.parametrize("max_level", [0, 1])
+def test_low_truncations_equal_the_recomputing_reference(max_level):
+    for seed, algebra in REFERENCE_COMPLEXES[1::2]:
+        complex_ = build_truncated_complex(seed, algebra, max_level)
+        ref = build_truncated_complex_reference(seed, algebra, max_level)
+        assert complex_ == ref

@@ -1,7 +1,11 @@
 """End-to-end runs of the pev command and the JSON codecs behind it."""
 
+import importlib.util
 import json
+import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,14 @@ MS_TGT = '{"ms": [[5, 1], [7, 1]]}'
 DIST_SRC = '{"dist": [[[0], [1, 2]], [[2], [1, 2]]]}'
 DIST_MID = '{"dist": [[[0], [1, 4]], [[1], [1, 2]], [[2], [1, 4]]]}'
 DIST_PT = '{"dist": [[[1], [1, 1]]]}'
+
+
+# The benchmark's reference semantics: it imports no parteval.
+_spec = importlib.util.spec_from_file_location(
+    "pevbench_oracle", Path(__file__).resolve().parents[1] / "pevbench" / "oracle.py"
+)
+BENCH_ORACLE = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(BENCH_ORACLE)
 
 
 def run(capsys, *argv):
@@ -218,6 +230,32 @@ def test_bar_dot_skeleton(capsys):
     assert out.startswith("digraph skeleton {")
 
 
+def test_graph_and_bar_agree_with_the_benchmark_oracle(capsys):
+    O = BENCH_ORACLE
+    rng = random.Random(2718)
+    fold = O.cyclic_fold(4)
+    cases = []
+    for _ in range(10):
+        atoms = tuple(sorted(rng.randint(1, 6) for _ in range(rng.randint(1, 4))))
+        cases.append((dumps(O.ms_envelope(atoms)), "nat-add", O.read_ms, O.ms_label,
+                      O.full_reduction_graph(atoms, lambda n: O.ms_targets(n, sum))))
+        code, out, _ = run(capsys, "bar", cases[-1][0], "--alg", "nat-add", "--level", "2")
+        assert O.judge_bar(code, out, atoms, sum) is None
+    for _ in range(10):
+        seq = tuple(rng.randrange(4) for _ in range(rng.randint(1, 6)))
+        cases.append((dumps({"list": list(seq)}), C4_ALG, O.read_list, O.list_label,
+                      O.full_reduction_graph(seq, lambda n: O.list_targets(n, fold))))
+    for seed, alg, read, label, expected in cases:
+        for dot in (False, True):
+            code, out, _ = run(capsys, "graph", seed, "--alg", alg, *(["--dot"] if dot else []))
+            assert code == 0
+            nodes, edges = O.read_graph(out, dot, read, label)
+            graph = {n: Counter() for n in nodes}
+            for u, v, count in edges:
+                graph[nodes[u]][nodes[v]] = count
+            assert graph == expected
+
+
 # ---------------------------------------------------------------------------
 # laws.
 
@@ -316,6 +354,24 @@ def test_malformed_json_exits_two(capsys):
                        "--alg", "nat-add")
     assert code == 2
     assert "bad JSON" in err
+
+
+DEEP_LIST = '{"list": ' + "[" * 5000 + "1" + "]" * 5000 + "}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", DEEP_LIST, '{"list": [1]}', "--alg", "nat-add"],
+        ["graph", DEEP_LIST, "--alg", "nat-add"],
+        ["sosd", DEEP_LIST, DIST_PT],
+    ],
+    ids=["check", "graph", "sosd"],
+)
+def test_deeply_nested_json_exits_two(argv, capsys):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "nests too deeply" in err
 
 
 def test_missing_file_exits_two(capsys):

@@ -5,12 +5,16 @@ import random
 
 import pytest
 
+from collections import Counter
+
 from parteval import (
     LIST,
     MULTISET,
+    TERMINAL,
     EnumerationLimitExceeded,
     InvalidWitness,
     Monoid,
+    NestedExpression,
     NotComposable,
     ReductionGraph,
     audit_witnesses,
@@ -41,7 +45,13 @@ from parteval.sampling import (
     random_enumerable_expression,
     random_witness,
 )
-from oracles import list_splits_oracle, multiset_fiber_oracle, pev_targets_oracle
+from oracles import (
+    enumerate_fillers_reference,
+    list_splits_oracle,
+    multiset_fiber_oracle,
+    pev_targets_oracle,
+    reduction_graph_reference,
+)
 
 ALG = nat_add_algebra()
 C4_FOLD = monoid_algebra(cyclic(4))
@@ -326,3 +336,95 @@ def test_random_witness_sampler_yields_valid_witnesses():
         w = random_witness(p, ALG, rng)
         assert validate_witness(w)
         assert w.source == p
+
+
+# ---------------------------------------------------------------------------
+# The one-pass graph and fillers against the recomputing reference bodies.
+
+C6_ACT = self_action_algebra(cyclic(6))
+
+
+def case_id(x):
+    return getattr(x, "name", None) or str(x)
+
+REFERENCE_GRAPHS = [
+    (multiset_expression([1, 2, 3, 4, 5, 6]), ALG),
+    (multiset_expression([1, 1, 2, 2, 3, 3]), ALG),
+    (multiset_expression([2, 2, 2, 1, 1]), ALG),
+    (expression(MULTISET, 1, [0, 2, 3, 3, 4]), Z6_MUL),
+    (expression(LIST, 1, [1, 2, 3, 0, 1, 2]), C4_FOLD),
+    (expression(LIST, 1, [0, 0, 0, 0, 0]), C4_FOLD),
+    (expression(C6_ACT.monad, 1, (2, 3)), C6_ACT),
+    (expression(TERMINAL, 1, "x"), terminal_algebra()),
+]
+
+
+@pytest.mark.parametrize("seed, algebra", REFERENCE_GRAPHS, ids=case_id)
+def test_reduction_graph_equals_the_recomputing_reference(seed, algebra):
+    g = reduction_graph(seed, algebra)
+    ref = reduction_graph_reference(seed, algebra)
+    assert g.nodes == ref.nodes
+    assert g.edges == ref.edges
+
+
+def test_node_cap_trips_where_the_reference_trips():
+    seed = multiset_expression([1, 1, 2, 2])
+    size = len(reduction_graph_reference(seed, ALG).nodes)
+    for cap in range(1, size + 2):
+        outcomes = []
+        for build in (reduction_graph, reduction_graph_reference):
+            try:
+                outcomes.append(build(seed, ALG, node_cap=cap).edges)
+            except EnumerationLimitExceeded as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+def composable_witness_pairs(seed, algebra):
+    """Every pair (w, h) of fiber witnesses in seed's graph with w's
+    target equal to h's source."""
+    monad = algebra.monad
+    by_source = {
+        node: [
+            witness_from_value(NestedExpression(monad, 2, payload), algebra)
+            for payload in monad.mu_fiber(node.payload)
+        ]
+        for node in reduction_graph_reference(seed, algebra).nodes
+    }
+    return [(w, h) for ws in by_source.values() for w in ws for h in by_source[w.target]]
+
+
+@pytest.mark.parametrize(
+    "seed, algebra",
+    [
+        (multiset_expression([1, 1, 2, 2, 3]), ALG),
+        (multiset_expression([2, 2, 2, 2, 2]), ALG),
+        (expression(MULTISET, 1, [0, 0, 2, 3, 3]), Z6_MUL),
+        (expression(LIST, 1, [1, 2, 3, 0]), C4_FOLD),
+        (expression(C6_ACT.monad, 1, (5, 1)), C6_ACT),
+    ],
+    ids=case_id,
+)
+def test_fillers_equal_the_permutation_reference_as_multisets(seed, algebra):
+    repeated = 0
+    for w, h in composable_witness_pairs(seed, algebra):
+        fillers = enumerate_fillers(w, h)
+        ref = enumerate_fillers_reference(w, h)
+        assert len(fillers) == len(ref)
+        assert Counter(f.key() for f in fillers) == Counter(f.key() for f in ref)
+        repeated += len(ref) > len({f.key() for f in ref})
+    if algebra.monad == MULTISET:
+        assert repeated  # the cases do exercise equal blocks
+
+
+def test_filler_limit_trips_where_the_reference_trips():
+    first = witness_from_value(expression(MULTISET, 2, [[1, 2], [1, 2], [1, 2]]), ALG)
+    second = witness_from_value(expression(MULTISET, 2, [[3, 3, 3]]), ALG)
+    for limit in (1, 5, 6):
+        outcomes = []
+        for build in (enumerate_fillers, enumerate_fillers_reference):
+            try:
+                outcomes.append(Counter(f.key() for f in build(first, second, limit)))
+            except EnumerationLimitExceeded as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
